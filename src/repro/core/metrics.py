@@ -54,9 +54,13 @@ def percentile_latency(records: Sequence[OpRecord], q: float) -> float:
     """q in [0, 100]; nearest-rank percentile."""
     if not records:
         return 0.0
+    return _nearest_rank(sorted(r.latency for r in records), q)
+
+
+def _nearest_rank(lat: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of the non-empty, ascending ``lat``."""
     if not 0 <= q <= 100:
         raise ValueError(f"percentile out of range: {q}")
-    lat = sorted(r.latency for r in records)
     rank = max(1, math.ceil(q / 100 * len(lat)))
     return lat[rank - 1]
 
@@ -178,18 +182,22 @@ def latency_cdf(records: Sequence[OpRecord],
                 points: Sequence[float] = (50, 90, 95, 99, 99.9),
                 ) -> Dict[float, float]:
     """Latency at the given percentiles, as {percentile: seconds}."""
-    return {q: percentile_latency(records, min(q, 100.0)) for q in points}
+    if not records:
+        return {q: 0.0 for q in points}
+    lat = sorted(r.latency for r in records)
+    return {q: _nearest_rank(lat, min(q, 100.0)) for q in points}
 
 
 def summarize(records: Sequence[OpRecord]) -> Dict[str, float]:
     """One-look summary used by the harness report tables."""
+    pct = latency_cdf(records, (50, 95, 99))
     return {
         "ops": float(len(records)),
         "mean_latency": mean_latency(records),
         "effective_latency": effective_latency(records),
-        "p50_latency": percentile_latency(records, 50),
-        "p95_latency": percentile_latency(records, 95),
-        "p99_latency": percentile_latency(records, 99),
+        "p50_latency": pct[50],
+        "p95_latency": pct[95],
+        "p99_latency": pct[99],
         "throughput": throughput(records),
         "overlap_pct": overlap_percent(records),
         "miss_rate": miss_rate(records),

@@ -178,10 +178,7 @@ def _deliver_local(msg, _ev=None) -> None:
     """Fire ``Message.delivered`` in the *sender's* domain at wire-due
     time (profiler spans / sender-side waiters) without dispatching the
     frame — the real delivery happens in the destination domain."""
-    ev = msg.delivered
-    ev._ok = True
-    ev._value = msg
-    msg.src.sim._schedule_now(ev)
+    msg._mark_delivered()
 
 
 def _deliver_remote(ep, payload, nbytes: int, _ev=None) -> None:

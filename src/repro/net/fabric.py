@@ -5,45 +5,142 @@ A :class:`Message` moves through three observable points:
 1. ``on_wire`` — the sender's NIC finished serializing it; the sender's
    buffers are free for reuse (this is what ``bset``/``bget`` wait for).
 2. ``delivered`` — the last byte arrived at the destination NIC.
-3. consumption — a higher layer (QP recv queue, IPoIB inbox) hands it to
-   the application.
+3. consumption — a higher layer (endpoint inbox, QP recv queue, IPoIB
+   inbox) hands it to the application.
 
-The transmit side of each NIC is a capacity-1 resource, so concurrent
-messages from one node serialize — this is what creates client-side NIC
-contention in the 100-client throughput experiment (Fig 7c).
+Each NIC transmits from a private FIFO: one message holds the pipe at a
+time, so concurrent messages from one node serialize — this is what
+creates client-side NIC contention in the 100-client throughput
+experiment (Fig 7c).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
 from functools import partial
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.net.params import LinkParams
 from repro.obs.api import NULL_OBS, Observability
 from repro.obs.tracer import NULL_SPAN
-from repro.sim import Event, Resource, Simulator, Timeout
+from repro.sim import Event, Mailbox, Simulator, Timeout
+
+#: Slot marker: the message passed this point while nobody had asked
+#: for its event, so none was created or scheduled.
+_FIRED = object()
 
 
-@dataclass(slots=True)
 class Message:
     """One transfer over the fabric.
 
     ``payload`` is an arbitrary Python object (protocol header, value
     descriptor, ...). ``nbytes`` is the size that occupies the wire.
+
+    The ``on_wire`` and ``delivered`` events are created on first
+    access. The NIC schedules one only if it exists when the message
+    reaches that point; a point nobody asked for costs no event at all,
+    and asking for it afterwards returns an already-processed event.
+    This is sound because every subscriber (``Client._arm``,
+    ``QueuePair._complete_on``, the sharded harness) asks at send time,
+    before the event can fire. A subscriber that asked later would see
+    the event processed instead of pending. Pure observers use
+    :meth:`watch`, which schedules nothing.
     """
 
-    src: "NIC"
-    dst: "NIC"
-    nbytes: int
-    payload: Any = None
-    #: True for one-sided RDMA ops: the destination CPU is not involved.
-    one_sided: bool = False
-    #: CPU time the receiver's event loop must spend before handing the
-    #: message to the application (zero for one-sided ops).
-    recv_cpu: float = 0.0
-    on_wire: Event = field(default=None)  # type: ignore[assignment]
-    delivered: Event = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("src", "dst", "nbytes", "payload", "one_sided", "recv_cpu",
+                 "inbox", "_on_wire", "_delivered", "_watchers")
+
+    def __init__(self, src: "NIC", dst: "NIC", nbytes: int, payload: Any = None,
+                 one_sided: bool = False, recv_cpu: float = 0.0,
+                 inbox: Optional[Mailbox] = None):
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.payload = payload
+        #: True for one-sided RDMA ops: the destination CPU is not involved.
+        self.one_sided = one_sided
+        #: CPU time the receiver's event loop must spend before handing
+        #: the message to the application (zero for one-sided ops).
+        self.recv_cpu = recv_cpu
+        #: Endpoint inbox the message itself is put into on delivery
+        #: (None: the payload routes itself).
+        self.inbox = inbox
+        # None (not asked for), an Event, or _FIRED.
+        self._on_wire: Any = None
+        self._delivered: Any = None
+        #: ``(on_wire, delivered)`` callables from :meth:`watch`.
+        self._watchers: Optional[List[tuple]] = None
+
+    @property
+    def on_wire(self) -> Event:
+        ev = self._on_wire
+        if ev is None or ev is _FIRED:
+            ev = self._on_wire = self._event(ev is _FIRED)
+        return ev
+
+    @property
+    def delivered(self) -> Event:
+        ev = self._delivered
+        if ev is None or ev is _FIRED:
+            ev = self._delivered = self._event(ev is _FIRED)
+        return ev
+
+    def _event(self, fired: bool) -> Event:
+        ev = Event(self.src.sim)
+        if fired:
+            ev._ok = True
+            ev._value = self
+            ev.callbacks = None
+        return ev
+
+    def watch(self, on_wire: Callable[[], None],
+              delivered: Callable[[], None]) -> None:
+        """Call ``on_wire()`` and ``delivered()`` as the message reaches
+        each point, or at once for a point already passed.
+
+        The NIC calls watchers inline, so watching creates and schedules
+        no event: an observer cannot change the run's event count.
+        """
+        if _passed(self._on_wire):
+            # Calls it now; the NIC will not pass this point again.
+            on_wire()
+            if _passed(self._delivered):
+                delivered()
+                return
+        if self._watchers is None:
+            self._watchers = []
+        self._watchers.append((on_wire, delivered))
+
+    def _mark_on_wire(self) -> None:
+        ev = self._on_wire
+        if ev is None:
+            self._on_wire = _FIRED
+        else:
+            # Inlined ev.succeed(self): only the NIC triggers it.
+            ev._ok = True
+            ev._value = self
+            self.src.sim._schedule_now(ev)
+        watchers = self._watchers
+        if watchers is not None:
+            for on_wire, _ in watchers:
+                on_wire()
+
+    def _mark_delivered(self) -> None:
+        ev = self._delivered
+        if ev is None:
+            self._delivered = _FIRED
+        else:
+            ev._ok = True
+            ev._value = self
+            self.src.sim._schedule_now(ev)
+        watchers = self._watchers
+        if watchers is not None:
+            for _, delivered in watchers:
+                delivered()
+
+
+def _passed(slot: Any) -> bool:
+    return slot is _FIRED or (slot is not None and slot.triggered)
 
 
 class NIC:
@@ -54,10 +151,10 @@ class NIC:
         self.sim = sim
         self.node = node
         self.params = params  # property: also derives the hot constants
-        #: Serializes outbound messages (the DMA/wire is one pipe).
-        self.tx = Resource(sim, capacity=1)
-        #: Called with each delivered Message; installed by the transport.
-        self.deliver: Optional[Callable[[Message], None]] = None
+        #: Transmit FIFO (the DMA/wire is one pipe): ``_tx_busy`` while a
+        #: message holds it; later ones wait as ``(msg, t_queued)``.
+        self._tx_busy = False
+        self._tx_queue: Deque[Tuple[Message, float]] = deque()
         #: Sharded-domain hook (see :mod:`repro.harness.sharded`): when
         #: set, ``_tx_done`` hands ``(nic, msg)`` to the router instead
         #: of scheduling the wire-latency delivery timeout, so the domain
@@ -76,7 +173,7 @@ class NIC:
         self._m_msgs = reg.counter("nic_messages_sent", **labels)
         self._m_tx_wait = reg.histogram("nic_tx_wait_seconds", **labels)
         reg.gauge("nic_tx_backlog",
-                  fn=lambda: self.tx.in_use + self.tx.queue_length, **labels)
+                  fn=lambda: self._tx_busy + len(self._tx_queue), **labels)
 
     @property
     def params(self) -> LinkParams:
@@ -94,30 +191,36 @@ class NIC:
         self._serialize = params.serialize_time
 
     def transmit(self, dst: "NIC", nbytes: int, payload: Any = None,
-                 one_sided: bool = False, recv_cpu: float = 0.0) -> Message:
+                 one_sided: bool = False, recv_cpu: float = 0.0,
+                 inbox: Optional[Mailbox] = None) -> Message:
         """Start an asynchronous transfer; returns the in-flight Message.
 
         The transfer is a callback chain rather than a spawned process:
         tx grant -> serialize busy-time -> on_wire -> wire latency ->
-        delivered. One message used to cost a generator, a Process, and
-        an Initialize event on top of the model's own events; the chain
-        keeps only the model's events. The tx slot is requested here,
-        synchronously, which preserves FIFO grant order (spawn order and
-        call order were already identical).
+        delivered. With ``inbox`` set, delivery puts the message itself
+        into it; otherwise a payload with a ``deliver`` method routes it.
         """
         sim = self.sim
-        msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu,
-                      Event(sim), Event(sim))
-        t_queued = sim._now
-        req = self.tx.request()
+        msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu, inbox)
+        if self._tx_busy:
+            self._tx_queue.append((msg, sim._now))
+        else:
+            self._tx_busy = True
+            self._grant(msg, sim._now)
+        return msg
+
+    def _grant(self, msg: Message, t_queued: float) -> None:
+        # One same-instant event between winning the pipe and starting to
+        # serialize. It is not needed for timing, but it keeps every
+        # busy timer posted in the same order relative to other timers
+        # created at this instant, so equal-time ties resolve as before.
         # partial, not a lambda: callbacks receive the event argument,
         # which the trailing _ev parameter absorbs without the extra
         # Python frame a lambda would add to every hop of the chain.
-        req.callbacks.append(partial(self._tx_granted, msg, req, t_queued))
-        return msg
+        Timeout(self.sim, 0.0).callbacks.append(
+            partial(self._tx_granted, msg, t_queued))
 
-    def _tx_granted(self, msg: Message, req, t_queued: float,
-                    _ev=None) -> None:
+    def _tx_granted(self, msg: Message, t_queued: float, _ev=None) -> None:
         sim = self.sim
         if self._metrics_on:
             self._m_tx_wait.observe(sim._now - t_queued)
@@ -131,12 +234,16 @@ class NIC:
         busy = self._cpu_send + self._serialize(msg.nbytes)
         if busy > 0:
             Timeout(sim, busy).callbacks.append(
-                partial(self._tx_done, msg, req, span))
+                partial(self._tx_done, msg, span))
         else:
-            self._tx_done(msg, req, span)
+            self._tx_done(msg, span)
 
-    def _tx_done(self, msg: Message, req, span, _ev=None) -> None:
-        self.tx.release(req)
+    def _tx_done(self, msg: Message, span, _ev=None) -> None:
+        queue = self._tx_queue
+        if queue:
+            self._grant(*queue.popleft())
+        else:
+            self._tx_busy = False
         nbytes = msg.nbytes
         self.bytes_sent += nbytes
         self.messages_sent += 1
@@ -145,33 +252,24 @@ class NIC:
         if self._metrics_on:
             self._m_bytes.inc(nbytes)
             self._m_msgs.inc()
-        # Inlined msg.on_wire.succeed(msg): the event is fresh and only
-        # ever triggered here, so the double-trigger check cannot fire.
-        ev = msg.on_wire
-        ev._ok = True
-        ev._value = msg
-        sim = self.sim
-        sim._schedule_now(ev)
+        msg._mark_on_wire()
         router = self.delivery_router
         if router is None:
-            Timeout(sim, self._latency).callbacks.append(
+            Timeout(self.sim, self._latency).callbacks.append(
                 partial(self._delivered, msg))
         else:
             router(self, msg)
 
-    def _delivered(self, msg: Message, _ev=None) -> None:
-        # Inlined msg.delivered.succeed(msg) (see _tx_done).
-        ev = msg.delivered
-        ev._ok = True
-        ev._value = msg
-        self.sim._schedule_now(ev)
-        deliver = msg.dst.deliver
-        if deliver is not None:
-            deliver(msg)
+    @staticmethod
+    def _delivered(msg: Message, _ev=None) -> None:
+        msg._mark_delivered()
+        inbox = msg.inbox
+        if inbox is not None:
+            inbox.put(msg)
         else:
             payload = msg.payload
             if payload is not None:
-                # Self-routing frames (RDMA / IPoIB) dispatch themselves.
+                # Self-routing frames (QP verbs, IPoIB) dispatch themselves.
                 route = getattr(payload, "deliver", None)
                 if route is not None:
                     route(msg)

@@ -15,17 +15,16 @@ arrival at the peer.
 
 The verbs-level :class:`~repro.net.rdma.QueuePair` API remains available
 for applications that want raw RDMA; these endpoints charge exactly the
-same wire and CPU costs but route frames straight into a peer inbox,
-which is how the Memcached runtime consumes them.
+same wire and CPU costs but deliver each message straight into the
+peer inbox, which is how the Memcached runtime consumes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Tuple
 
 from repro.net.fabric import Message, Node
-from repro.net.ipoib import Delivery, IPoIBConnection
+from repro.net.ipoib import IPoIBConnection
 from repro.net.params import FDR_IPOIB, FDR_RDMA, LinkParams
 from repro.sim import Mailbox, Simulator
 
@@ -42,7 +41,8 @@ class Endpoint:
         raise NotImplementedError
 
     def recv(self):
-        """Event producing the next :class:`Delivery` from the inbox."""
+        """Event producing the next delivery from the inbox: anything
+        with ``payload``/``nbytes``/``recv_cpu``/``one_sided``."""
         return self.inbox.get()
 
     @property
@@ -50,29 +50,14 @@ class Endpoint:
         raise NotImplementedError
 
 
-@dataclass(slots=True)
-class _RdmaEpFrame:
-    """Self-routing frame for endpoint-level RDMA transfers."""
-
-    dst: "RdmaEndpoint"
-    payload: Any
-    one_sided: bool
-
-    def deliver(self, msg: Message) -> None:
-        # msg.recv_cpu was computed at send time (0.0 for one-sided);
-        # re-deriving it here walked dst.params per delivery.
-        self.dst.inbox.put(Delivery(payload=self.payload, nbytes=msg.nbytes,
-                                    recv_cpu=msg.recv_cpu,
-                                    one_sided=self.one_sided))
-
-
 class RdmaEndpoint(Endpoint):
     """Endpoint carried over RC verbs.
 
-    Two-sided sends land in the peer inbox with the (small) verbs receive
-    CPU attached; one-sided sends (RDMA writes) land with zero receive
-    CPU — the peer discovers them by polling memory, as RDMA-Memcached's
-    communication engine does.
+    The delivered :class:`~repro.net.fabric.Message` itself lands in the
+    peer inbox. Two-sided sends carry the (small) verbs receive CPU;
+    one-sided sends (RDMA writes) carry zero receive CPU — the peer
+    discovers them by polling memory, as RDMA-Memcached's communication
+    engine does.
     """
 
     def __init__(self, sim: Simulator, nic):
@@ -85,10 +70,10 @@ class RdmaEndpoint(Endpoint):
         self.peer: "RdmaEndpoint" = None  # type: ignore[assignment]
 
     def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
-        frame = _RdmaEpFrame(dst=self.peer, payload=payload, one_sided=one_sided)
-        return self.nic.transmit(self.peer.nic, nbytes, payload=frame,
-                                 one_sided=one_sided,
-                                 recv_cpu=0.0 if one_sided else self.peer.params.cpu_recv)
+        peer = self.peer
+        return self.nic.transmit(peer.nic, nbytes, payload, one_sided,
+                                 0.0 if one_sided else peer.params.cpu_recv,
+                                 peer.inbox)
 
     @property
     def supports_one_sided(self) -> bool:

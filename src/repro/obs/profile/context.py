@@ -222,25 +222,19 @@ def profile_message(profiler, trace_id: int, clock: Callable[[], float],
     """Attach nic/wire stage recording to one in-flight net message.
 
     ``nic`` covers send -> on-wire (tx queue wait + serialization),
-    ``wire`` covers on-wire -> delivery (link latency). Events may have
-    already fired for zero-latency links; record immediately then.
+    ``wire`` covers on-wire -> delivery (link latency). The recorders
+    are inline :meth:`~repro.net.fabric.Message.watch` watchers, not
+    event callbacks, so profiling schedules no event of its own.
     """
     t_send = clock()
     state = {"t_wire": t_send}
 
-    def on_wire(_=None):
+    def on_wire():
         now = clock()
         state["t_wire"] = now
         profiler.record(trace_id, prefix + "nic", t_send, now)
 
-    def delivered(_=None):
+    def delivered():
         profiler.record(trace_id, prefix + "wire", state["t_wire"], clock())
 
-    if msg.on_wire.callbacks is None:  # already processed
-        on_wire()
-    else:
-        msg.on_wire.callbacks.append(on_wire)
-    if msg.delivered.callbacks is None:
-        delivered()
-    else:
-        msg.delivered.callbacks.append(delivered)
+    msg.watch(on_wire, delivered)

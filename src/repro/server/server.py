@@ -52,7 +52,7 @@ from repro.server.protocol import (
     TouchRequest,
     ValueArrival,
 )
-from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim import Mailbox, PriorityStore, Resource, Simulator
 from repro.sim.errors import SimulationError
 from repro.storage.device import BlockDevice
 from repro.storage.params import DeviceParams, PageCacheParams
@@ -211,7 +211,9 @@ class MemcachedServer:
         #: handoff; None outside any window — the request hot path pays
         #: exactly one attribute test for elasticity.
         self.handoff = None
-        self._queue = PriorityStore(sim) if config.get_priority else Store(sim)
+        # Mailbox unless reads jump the queue: puts never block and
+        # nobody waits on them, so a Store's per-put event is dead weight.
+        self._queue = PriorityStore(sim) if config.get_priority else Mailbox(sim)
         self.credits = Resource(sim, capacity=config.recv_credits)
         self._value_events: Dict[int, object] = {}
         self._started = False
@@ -467,7 +469,9 @@ class MemcachedServer:
                 # req_ids are unique per client connection only; key the
                 # rendezvous by (connection, req_id).
                 key = (ep_key, payload.req_id)
-                ev = self._value_events.setdefault(key, self.sim.event())
+                ev = self._value_events.get(key)
+                if ev is None:
+                    ev = self._value_events[key] = self.sim.event()
                 ev.succeed(payload)
             elif isinstance(payload, Request):
                 if prof_on:
@@ -497,7 +501,9 @@ class MemcachedServer:
 
     def _await_value(self, endpoint: Endpoint, req_id: int):
         key = (id(endpoint), req_id)
-        ev = self._value_events.setdefault(key, self.sim.event())
+        ev = self._value_events.get(key)
+        if ev is None:
+            ev = self._value_events[key] = self.sim.event()
         arrival = yield ev
         # pop, not del: a fault purge may have already dropped the key.
         self._value_events.pop(key, None)

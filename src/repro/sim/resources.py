@@ -177,13 +177,12 @@ class PriorityStore:
         self._heap.clear()
         return n
 
-    def put(self, item: Any, priority: float = 0.0) -> StorePut:
-        ev = StorePut(self.sim, item)
+    def put(self, item: Any, priority: float = 0.0) -> None:
+        # Like Mailbox.put: unbounded, so the put never blocks and
+        # returns nothing to wait on (do **not** yield it).
         heapq.heappush(self._heap, (priority, self._counter, item))
         self._counter += 1
-        ev.succeed()
         self._dispatch()
-        return ev
 
     def get(self) -> StoreGet:
         ev = StoreGet(self.sim, None)

@@ -43,6 +43,15 @@ class TestCdf:
         assert cdf[99] == pytest.approx(990e-6, rel=0.01)
         assert cdf[99.9] <= 1000e-6
 
+    def test_summary_percentiles_equal_single_percentiles(self):
+        # summarize() sorts once for all three points; the values must
+        # be exactly the per-point nearest-rank percentiles.
+        recs = [rec(((i * 7919) % 1013 + 1) * 1e-6) for i in range(1013)]
+        summary = metrics.summarize(recs)
+        for q in (50, 95, 99):
+            assert summary[f"p{q}_latency"] == metrics.percentile_latency(recs, q)
+        assert metrics.summarize([])["p99_latency"] == 0.0
+
 
 class TestWaitTimeout:
     def test_wait_times_out_then_completes_later(self):

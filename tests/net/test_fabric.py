@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.fabric import Fabric
 from repro.net.params import FDR_RDMA, LinkParams
+from repro.obs.api import Observability
 from repro.sim import Simulator
 from repro.units import KB, MB, US
 
@@ -104,6 +105,40 @@ def test_payload_rides_along():
     sim.run()
     assert msg.payload is marker
     assert msg.delivered.value is msg
+
+
+def test_unobserved_points_schedule_no_event():
+    # Grant hop + serialization timeout + wire-latency timeout.
+    sim, a, b = make_pair()
+    msg = a.transmit(b, 4 * KB)
+    sim.run()
+    assert sim.events_processed == 3
+    # Asked for after the fact: already processed, carrying the message.
+    for ev in (msg.on_wire, msg.delivered):
+        assert ev.processed and ev.value is msg
+    # A subscriber that asks at send time gets its event scheduled.
+    sim, a, b = make_pair()
+    msg = a.transmit(b, 4 * KB)
+    seen = []
+    msg.on_wire.callbacks.append(lambda ev: seen.append(sim.now))
+    sim.run()
+    assert sim.events_processed == 4
+    assert seen == [pytest.approx(FDR_RDMA.cpu_send
+                                  + FDR_RDMA.serialize_time(4 * KB))]
+
+
+def test_tx_backlog_gauge_counts_holder_and_queue():
+    sim = Simulator()
+    fabric = Fabric(sim, obs=Observability(sim))
+    a = fabric.node("a").nic(FDR_RDMA)
+    b = fabric.node("b").nic(FDR_RDMA)
+    (gauge,) = fabric.obs.registry.gauges(
+        lambda m: m.name == "nic_tx_backlog" and m.labels["node"] == "a")
+    for _ in range(3):
+        a.transmit(b, 64 * KB)
+    assert gauge.value() == 3
+    sim.run()
+    assert gauge.value() == 0
 
 
 class TestLinkParams:

@@ -24,9 +24,10 @@ def test_rdma_endpoint_roundtrip(sim_fabric):
         d = yield srv.recv()
         got.append(d)
 
-    cli.send({"op": "get"}, 128)
+    msg = cli.send({"op": "get"}, 128)
     sim.spawn(server(sim))
     sim.run()
+    assert got[0] is msg  # the message itself is the delivery
     assert got[0].payload == {"op": "get"}
     assert got[0].nbytes == 128
     assert not got[0].one_sided

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.net.fabric import Fabric
+from repro.net.params import FDR_RDMA
 from repro.obs.profile import (
     NULL_PROFILER,
     ProfileReport,
@@ -16,6 +18,8 @@ from repro.obs.profile import (
     folded_stacks,
     profile_message,
 )
+from repro.sim import Simulator
+from repro.units import KB
 
 
 # -- canonical stage mapping -------------------------------------------------
@@ -216,44 +220,49 @@ def test_null_profiler_is_inert():
 # -- message profiling -------------------------------------------------------
 
 
-class _FakeEvent:
-    def __init__(self, processed=False):
-        self.callbacks = None if processed else []
-
-    def fire(self):
-        cbs, self.callbacks = self.callbacks, None
-        for cb in cbs:
-            cb(self)
-
-
-class _FakeMsg:
-    def __init__(self, processed=False):
-        self.on_wire = _FakeEvent(processed)
-        self.delivered = _FakeEvent(processed)
+def _transfer(nbytes=4 * KB):
+    """A real two-NIC transfer profiled on the simulator's clock."""
+    sim = Simulator()
+    fabric = Fabric(sim)
+    a = fabric.node("a").nic(FDR_RDMA)
+    b = fabric.node("b").nic(FDR_RDMA)
+    prof = RequestProfiler(clock=lambda: sim.now)
+    return sim, prof, a.transmit(b, nbytes)
 
 
 def test_profile_message_records_nic_and_wire():
-    prof, t = make_profiler()
+    sim, prof, msg = _transfer()
     tid = prof.maybe_start("get")
-    msg = _FakeMsg()
     profile_message(prof, tid, prof.clock, msg)
-    t["now"] = 5e-6
-    msg.on_wire.fire()
-    t["now"] = 12e-6
-    msg.delivered.fire()
-    assert prof._live[tid].spans == [("nic", 0.0, 5e-6),
-                                     ("wire", 5e-6, 12e-6)]
+    sim.run()
+    t_wire = FDR_RDMA.cpu_send + FDR_RDMA.serialize_time(4 * KB)
+    assert prof._live[tid].spans == [
+        ("nic", 0.0, t_wire), ("wire", t_wire, t_wire + FDR_RDMA.latency)]
+    # Pure observation: the watched transfer costs the events of an
+    # unwatched one.
+    bare, _, _ = _transfer()
+    bare.run()
+    assert sim.events_processed == bare.events_processed
 
 
 def test_profile_message_prefix_and_processed_events():
-    prof, t = make_profiler()
+    sim, prof, msg = _transfer()
     tid = prof.maybe_start("get")
-    t["now"] = 3e-6
-    # Already-processed events (zero-latency path) record immediately
-    # as zero-length spans, which the recorder drops.
-    profile_message(prof, tid, prof.clock, _FakeMsg(processed=True),
-                    prefix="replica.")
+    sim.run()
+    # Points already passed record immediately as zero-length spans,
+    # which the recorder drops.
+    profile_message(prof, tid, prof.clock, msg, prefix="replica.")
     assert prof._live[tid].spans == []
+    # A message watched between on_wire and delivery records only the
+    # remaining wire span, prefixed.
+    sim, prof, msg = _transfer()
+    tid = prof.maybe_start("get")
+    sim.run(until=msg.on_wire)
+    t_wire = sim.now
+    profile_message(prof, tid, prof.clock, msg, prefix="replica.")
+    sim.run()
+    assert prof._live[tid].spans == [
+        ("replica.wire", t_wire, t_wire + FDR_RDMA.latency)]
 
 
 def test_report_table_and_folded_lines_render():
