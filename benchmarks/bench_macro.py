@@ -21,7 +21,7 @@ import os
 from pathlib import Path
 
 from repro.core.cluster import ClusterSpec
-from repro.core.profiles import FATCACHE, H_RDMA_OPT_NONB_I
+from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.harness.runner import RunConfig
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
@@ -157,26 +157,6 @@ def test_macro_paper_scale(benchmark):
 
     def run():
         result = _paper_scale_cfg(H_RDMA_OPT_NONB_I).run()
-        last["result"] = result
-        return len(result.records), result.events_processed
-
-    records, events = benchmark(run)
-    assert records == PAPER_CLIENTS * PAPER_OPS
-    _record_throughput(benchmark, events, last["result"])
-
-
-def test_macro_paper_scale_sharded(benchmark):
-    """The same 32x100 scale split into event domains (1 client domain
-    + 8 server domains, serial driver) on the IPoIB hybrid profile —
-    sharding supports IPoIB designs only. Events/run exceeds the
-    single-simulator count by the capture/inject bookkeeping; compare
-    the wall-clock column against ``test_macro_paper_scale`` for the
-    coordination overhead this machine pays (or recovers, with
-    ``shard_workers`` on a many-core host)."""
-    last = {}
-
-    def run():
-        result = _paper_scale_cfg(FATCACHE, shard_domains=9).run()
         last["result"] = result
         return len(result.records), result.events_processed
 

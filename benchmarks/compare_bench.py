@@ -7,9 +7,13 @@ Usage::
 Prints a GitHub-flavoured markdown table comparing each benchmark's
 wall-clock (and, for the macro cluster benchmark, events/sec) against
 the ``after`` figures recorded in ``BENCH_engine.json``. Meant for the
-non-gating CI bench job's ``$GITHUB_STEP_SUMMARY``: absolute numbers
-vary with runner hardware, so the deltas are informational, never a
-build failure — the script always exits 0 when both files parse.
+CI bench job's ``$GITHUB_STEP_SUMMARY``.
+
+Wall-clock numbers vary with runner hardware, so their deltas are
+informational. A macro row's ``events_per_run`` and simulated
+``p99_latency_s`` are deterministic, so they must equal the committed
+baseline exactly on any machine: on a mismatch the script lists it
+and exits 1. It exits 0 otherwise.
 """
 
 from __future__ import annotations
@@ -94,6 +98,23 @@ def compare(results: dict, baseline: dict) -> str:
     return "\n".join(lines)
 
 
+def mismatches(results: dict, baseline: dict) -> list[str]:
+    """Deterministic fields of macro rows that differ from the baseline."""
+    macro = baseline.get("macro", {})
+    out = []
+    for bench in results.get("benchmarks", []):
+        name = bench["name"].split("[")[0]
+        ref = macro.get(name)
+        if ref is None:
+            continue
+        extra = bench.get("extra_info", {})
+        for key in ("events_per_run", "p99_latency_s"):
+            if key in ref and extra.get(key) != ref[key]:
+                out.append(f"`{name}`: {key} {extra.get(key)!r} != "
+                           f"baseline {ref[key]!r}")
+    return out
+
+
 def main(argv: list[str]) -> int:
     if not 1 <= len(argv) <= 2:
         print(__doc__, file=sys.stderr)
@@ -104,6 +125,12 @@ def main(argv: list[str]) -> int:
     results = json.loads(results_path.read_text())
     baseline = json.loads(baseline_path.read_text())
     print(compare(results, baseline))
+    bad = mismatches(results, baseline)
+    if bad:
+        print("\n**Deterministic mismatch** (a model or engine change; "
+              "update BENCH_engine.json and say why):\n")
+        print("\n".join(f"* {line}" for line in bad))
+        return 1
     return 0
 
 

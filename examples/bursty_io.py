@@ -15,8 +15,11 @@ and waits once per block.
 Run:  python examples/bursty_io.py
 """
 
-from repro import build_cluster, profiles
+from repro import profiles
+from repro.core.cluster import ClusterSpec
+from repro.core.topology import TopologyConfig
 from repro.harness.report import ascii_table, fmt_us
+from repro.harness.runner import RunConfig
 from repro.storage.params import NVME_SSD, PageCacheParams, SATA_SSD
 from repro.units import KB, MB
 from repro.workloads.bursty import BurstyWorkload
@@ -31,10 +34,10 @@ SERVER_MEM = 8 * MB
 def run_case(profile, device, nonblocking):
     workload = BurstyWorkload(block_size=BLOCK, chunk_size=CHUNK,
                               total_bytes=TOTAL)
-    cluster = build_cluster(profile, num_servers=NUM_SERVERS,
-                            server_mem=SERVER_MEM, ssd_limit=128 * MB,
-                            device=device,
-                            pagecache=PageCacheParams(size_bytes=8 * MB))
+    cluster = RunConfig(profile=profile, cluster=ClusterSpec(
+        topology=TopologyConfig(initial_servers=NUM_SERVERS),
+        server_mem=SERVER_MEM, ssd_limit=128 * MB, device=device,
+        pagecache=PageCacheParams(size_bytes=8 * MB))).build()
     client = cluster.clients[0]
     sim = cluster.sim
     write_times, read_times = [], []

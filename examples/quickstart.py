@@ -8,17 +8,22 @@ blocking and the non-blocking APIs, and prints what each call cost.
 Run:  python examples/quickstart.py
 """
 
-from repro import build_cluster, profiles
+from repro import profiles
+from repro.core.cluster import ClusterSpec
+from repro.core.topology import TopologyConfig
+from repro.harness.runner import RunConfig
 from repro.units import KB, MB, US
 
 
 def main() -> None:
-    cluster = build_cluster(
-        profiles.H_RDMA_OPT_NONB_I,  # the paper's proposed design
-        num_servers=1,
-        server_mem=64 * MB,
-        ssd_limit=256 * MB,
-    )
+    cluster = RunConfig(
+        profile=profiles.H_RDMA_OPT_NONB_I,  # the paper's proposed design
+        cluster=ClusterSpec(
+            topology=TopologyConfig(initial_servers=1),
+            server_mem=64 * MB,
+            ssd_limit=256 * MB,
+        ),
+    ).build()
     client = cluster.clients[0]
     sim = cluster.sim
 

@@ -71,9 +71,9 @@ class RunResult:
     #: :class:`~repro.obs.profile.ProfileReport` for the measured run
     #: when the cluster was built with ``profile=True``; None otherwise.
     profile: Optional[object] = None
-    #: Total events the simulator(s) behind this run have processed —
-    #: cumulative over the run's lifetime (warmup included; summed over
-    #: every domain on sharded runs). The numerator of events/sec.
+    #: Total events the simulator behind this run has processed —
+    #: cumulative over the run's lifetime (warmup included). The
+    #: numerator of events/sec.
     events_processed: int = 0
 
     @property
@@ -156,24 +156,6 @@ class RunConfig:
     #: Keyword overrides applied to a default :class:`ClusterSpec`
     #: (e.g. ``{"num_servers": 4}``) when ``cluster`` is not given.
     spec_overrides: Dict[str, object] = field(default_factory=dict)
-    #: Shard the cluster into event domains (conservative-lookahead
-    #: parallel simulation; :mod:`repro.harness.sharded`). 1 keeps the
-    #: classic single-simulator run; ``D >= 2`` builds one client
-    #: domain plus ``min(D - 1, num_servers)`` server domains. IPoIB
-    #: transports only — the single-simulator path stays the oracle.
-    shard_domains: int = 1
-    #: Sharded runs only: 0/1 drives all domains serially in-process
-    #: (the byte-identical reference mode); ``>= 2`` forks that many
-    #: multiprocessing workers and coordinates them over pipes.
-    shard_workers: int = 0
-    #: Delay client ``i``'s first operation by ``i * client_stagger``
-    #: seconds (each phase). Zero — the default — changes nothing. A few
-    #: nanoseconds break the lock-step symmetry of identical clients all
-    #: starting at t=0, which is what makes distinct simulated events
-    #: collide on exactly equal timestamps; tie-free schedules are the
-    #: regime where sharded runs are byte-identical to the
-    #: single-simulator oracle (see :mod:`repro.harness.sharded`).
-    client_stagger: float = 0.0
 
     # -- build -------------------------------------------------------------
 
@@ -228,13 +210,6 @@ class RunConfig:
         """
         if self.workload is None:
             raise ValueError("RunConfig.run() needs a workload")
-        if self.shard_domains > 1:
-            if cluster is not None:
-                raise ValueError(
-                    "sharded runs build their own per-domain clusters; "
-                    "don't pass cluster= with shard_domains > 1")
-            from repro.harness import sharded
-            return sharded.run_sharded(self)
         if cluster is None:
             cluster = self.build()
         if self.warmup_ops > 0:
@@ -273,13 +248,6 @@ class RunConfig:
         ``fault_plan`` is armed right before the drivers start, so its
         event times are relative to the measured run's start.
         """
-        if self.shard_domains > 1:
-            if cluster is not None:
-                raise ValueError(
-                    "sharded runs build their own per-domain clusters; "
-                    "don't pass cluster= with shard_domains > 1")
-            from repro.harness import sharded
-            return sharded.run_sharded_streams(self, per_client_ops)
         if cluster is None:
             cluster = self.build()
         return self._run_streams(cluster, per_client_ops,
@@ -308,17 +276,13 @@ class RunConfig:
                               name=f"scale-{i}-to{ev.servers}"))
         pacer = self.traffic if measured else None
         drivers = []
-        stagger = self.client_stagger
-        for index, (client, ops) in enumerate(
-                zip(cluster.clients, per_client_ops)):
+        for client, ops in zip(cluster.clients, per_client_ops):
             if api == BLOCKING:
                 gen = _drive_blocking(client, ops,
                                       mget_batch=self.mget_batch,
-                                      delay=index * stagger,
                                       pacer=pacer)
             else:
                 gen = _drive_nonblocking(client, ops, api, self.window,
-                                         delay=index * stagger,
                                          pacer=pacer)
             drivers.append(sim.spawn(gen, name=f"driver-{client.name}"))
         done = sim.all_of(drivers)
@@ -406,15 +370,13 @@ def _scale_driver(cluster, at: float, target: int):
 
 
 def _drive_blocking(client, ops: Sequence[Op], mget_batch: int = 0,
-                    delay: float = 0.0, pacer=None):
+                    pacer=None):
     """Blocking driver; with ``mget_batch`` > 1, consecutive reads are
     coalesced into memcached_mget batches (how production web tiers
     fetch the many keys of one page render). ``pacer`` (a
     :class:`~repro.workloads.traffic.TrafficShape`) inserts a
     deterministic inter-op sleep; None keeps the classic back-to-back
     loop byte-identical."""
-    if delay > 0:
-        yield client.sim.timeout(delay)
     pending_reads: list = []
 
     def flush_reads():
@@ -461,9 +423,7 @@ def _drive_blocking(client, ops: Sequence[Op], mget_batch: int = 0,
 
 
 def _drive_nonblocking(client, ops: Sequence[Op], api: str, window: int,
-                       delay: float = 0.0, pacer=None):
-    if delay > 0:
-        yield client.sim.timeout(delay)
+                       pacer=None):
     issue_set = client.iset if api == NONB_I else client.bset
     issue_get = client.iget if api == NONB_I else client.bget
     inflight = deque()

@@ -41,10 +41,10 @@ class Message:
     reaches that point; a point nobody asked for costs no event at all,
     and asking for it afterwards returns an already-processed event.
     This is sound because every subscriber (``Client._arm``,
-    ``QueuePair._complete_on``, the sharded harness) asks at send time,
-    before the event can fire. A subscriber that asked later would see
-    the event processed instead of pending. Pure observers use
-    :meth:`watch`, which schedules nothing.
+    ``QueuePair._complete_on``) asks at send time, before the event can
+    fire. A subscriber that asked later would see the event processed
+    instead of pending. Pure observers use :meth:`watch`, which
+    schedules nothing.
     """
 
     __slots__ = ("src", "dst", "nbytes", "payload", "one_sided", "recv_cpu",
@@ -155,11 +155,6 @@ class NIC:
         #: message holds it; later ones wait as ``(msg, t_queued)``.
         self._tx_busy = False
         self._tx_queue: Deque[Tuple[Message, float]] = deque()
-        #: Sharded-domain hook (see :mod:`repro.harness.sharded`): when
-        #: set, ``_tx_done`` hands ``(nic, msg)`` to the router instead
-        #: of scheduling the wire-latency delivery timeout, so the domain
-        #: coordinator controls when and in what order deliveries land.
-        self.delivery_router: Optional[Callable[["NIC", Message], None]] = None
         # traffic accounting
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -253,12 +248,8 @@ class NIC:
             self._m_bytes.inc(nbytes)
             self._m_msgs.inc()
         msg._mark_on_wire()
-        router = self.delivery_router
-        if router is None:
-            Timeout(self.sim, self._latency).callbacks.append(
-                partial(self._delivered, msg))
-        else:
-            router(self, msg)
+        Timeout(self.sim, self._latency).callbacks.append(
+            partial(self._delivered, msg))
 
     @staticmethod
     def _delivered(msg: Message, _ev=None) -> None:

@@ -136,23 +136,6 @@ class Simulator:
         else:
             _heappush(self._queue, (when, next(self._counter), event))
 
-    def post_at(self, event: Event, when: float) -> None:
-        """Schedule an already-triggered ``event`` at absolute time
-        ``when`` (strictly in the future).
-
-        This is the injection port of the sharded-domain runtime
-        (:mod:`repro.harness.sharded`): deliveries generated in another
-        event domain are handed in pre-triggered, and the coordinator's
-        injection order assigns the tie-break counters — equal-time
-        injections process in exactly the order they were posted.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"post_at({when}) is in the past (now={self._now})")
-        if not event.triggered:
-            raise SimulationError("post_at() needs a triggered event")
-        _heappush(self._queue, (when, next(self._counter), event))
-
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
         if self._lane:
@@ -180,62 +163,6 @@ class Simulator:
             exc = self._unhandled[0]
             self._unhandled.clear()
             raise exc
-
-    def run_window(self, before: float) -> int:
-        """Process every event scheduled strictly before ``before``.
-
-        The sharded-domain coordinator's inner loop
-        (:mod:`repro.harness.sharded`): each domain repeatedly drains one
-        conservative-lookahead window, then the coordinator exchanges the
-        cross-domain deliveries the window generated. Unlike
-        :meth:`run`, the bound is *exclusive* (events due exactly at
-        ``before`` stay queued — they may race with deliveries injected
-        for that instant) and the clock is left at the last processed
-        event rather than advanced to the bound. The caller owns GC
-        pausing; this loop does none. Returns the number of events
-        processed.
-        """
-        lane = self._lane
-        queue = self._queue
-        lane_pop = lane.popleft
-        unhandled = self._unhandled
-        processed = 0
-        try:
-            now = self._now  # local clock mirror (see run())
-            while True:
-                if lane:
-                    if queue and queue[0][0] <= now:
-                        event = _heappop(queue)[2]
-                    else:
-                        event = lane_pop()
-                elif queue:
-                    item = _heappop(queue)
-                    when = item[0]
-                    if when >= before:
-                        _heappush(queue, item)
-                        break
-                    now = self._now = when
-                    event = item[2]
-                else:
-                    break
-                processed += 1
-                # Inlined Event._process (no subclass overrides it).
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for cb in callbacks:
-                        cb(event)
-                if not event._ok and not event.defused:
-                    unhandled.append(event._value)
-                if unhandled:
-                    exc = unhandled[0]
-                    unhandled.clear()
-                    raise exc
-        finally:
-            self.events_processed += processed
-        return processed
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run until the schedule drains, a deadline, or an event.

@@ -4,17 +4,15 @@ The elasticity contract, end to end through the harness: the fleet
 doubles mid-run through online migrations, the hit rate never craters
 below 80% of its steady state in any time bucket, the recorded history
 stays consistency-clean, and the whole paced/scaled run replays
-byte-identically on the legacy-heap simulator. Unshardable by design —
-the guard must refuse loudly.
+byte-identically on the legacy-heap simulator.
 """
 
 import pytest
 
 from repro.core.cluster import ClusterSpec, ReplicationConfig
-from repro.core.profiles import H_RDMA_OPT_NONB_I, IPOIB_MEM
+from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig, ScaleEvent
-from repro.harness.sharded import ShardingUnsupported
 from repro.sim import Simulator
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
@@ -108,18 +106,3 @@ class TestTrafficShapedRuns:
             "diurnal", base_interval=30e-6), check=False).run()
         unpaced = scale_config(check=False).run()
         assert paced.span > unpaced.span
-
-
-class TestShardingGuard:
-    def test_elastic_runs_refuse_to_shard(self):
-        spec = ClusterSpec(
-            topology=TopologyConfig(initial_servers=3), num_clients=2,
-            server_mem=4 * MB, ssd_limit=16 * MB)
-        cfg = RunConfig(
-            profile=IPOIB_MEM,
-            workload=WorkloadSpec(num_ops=40, num_keys=32,
-                                  value_length=256, seed=5),
-            cluster=spec, shard_domains=2,
-            scale_events=(ScaleEvent(at=1e-3, servers=4),))
-        with pytest.raises(ShardingUnsupported, match="elastic"):
-            cfg.run()

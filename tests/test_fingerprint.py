@@ -1,6 +1,6 @@
 """Behaviour fingerprint gate: a small fixed config matrix, each run
 pinned to a golden ``events_per_run`` and a SHA-256 of its per-op
-records.
+records (and of its consistency history, on rows that record one).
 
 The record hash covers every record's ``(op, status, t_issue,
 t_complete)`` (the benchmark's own fingerprint, ``perfbench/suite.py``),
@@ -24,7 +24,7 @@ import hashlib
 import pytest
 
 from repro.core.cluster import ClusterSpec, ReplicationConfig
-from repro.core.profiles import H_RDMA_OPT_NONB_I, IPOIB_MEM
+from repro.core.profiles import FATCACHE, H_RDMA_OPT_NONB_I, IPOIB_MEM
 from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig
@@ -100,6 +100,17 @@ def _crash() -> RunConfig:
         fault_plan=FaultPlan.parse(["crash:server=1,at=200us"]))
 
 
+def _fatcache_crash_history() -> RunConfig:
+    # IPoIB hybrid design, warm-up, a crash that restarts, history checked.
+    return RunConfig(
+        profile=FATCACHE,
+        workload=WorkloadSpec(num_ops=80, num_keys=64, value_length=256,
+                              read_fraction=0.5, seed=9),
+        cluster=_cluster(3, 4, server_mem=1 * MB, ssd_limit=4 * MB, request_timeout=2 * MS),
+        warmup_ops=20, check_consistency=True,
+        fault_plan=FaultPlan.parse(["crash:server=1,at=200us,duration=1ms"]))
+
+
 MATRIX = {
     "ycsb-a-4x4-nonb-i": _ycsb_a,
     "ycsb-a-4x4-legacy-heap": _ycsb_a_legacy_heap,
@@ -108,11 +119,13 @@ MATRIX = {
     "r2-sync": _replicated_sync,
     "get-priority": _get_priority,
     "crash-1-of-4": _crash,
+    "fatcache-warmup-crash-history": _fatcache_crash_history,
 }
 
-#: name -> (events_per_run, records SHA-256 prefix).
+#: name -> (events_per_run, records SHA-256 prefix[, history SHA-256 prefix]).
 GOLDEN = {
     'crash-1-of-4': (11177, 'ffa210edd534384d'),
+    'fatcache-warmup-crash-history': (9756, '9a6f8e4dc2835941', '90b40bca2d10e653'),
     'get-priority': (9923, 'cc181aa66af88ffb'),
     'ipoib-blocking': (8612, 'e007d55cd0a20e16'),
     'r2-sync': (14046, 'ecd441abfd3a2edb'),
@@ -128,7 +141,12 @@ def fingerprint(cfg: RunConfig) -> tuple:
     h = hashlib.sha256()
     for r in result.records:
         h.update(f"{r.op},{r.status},{r.t_issue!r},{r.t_complete!r};".encode())
-    return cluster.sim.events_processed, h.hexdigest()[:16]
+    fp = (cluster.sim.events_processed, h.hexdigest()[:16])
+    if result.history is None:
+        return fp
+    assert result.consistency.ok, result.consistency
+    history = "".join(f"{e!r};" for e in result.history)
+    return fp + (hashlib.sha256(history.encode()).hexdigest()[:16],)
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX))
